@@ -139,13 +139,13 @@ fn main() -> Result<(), SprintError> {
     );
     explorer.check()?;
 
-    eprintln!("perf_smoke: throughput leg (warm shared-cache model path + cold pool vs spawn) ...");
+    eprintln!("perf_smoke: throughput leg (warm-trace model path + cold pool vs spawn) ...");
     let queries = args.get_usize("queries", 5_000)?;
     let predictions = args.get_usize("predictions", 24)?;
     let mut t = perf::bench_throughput(&p, &c, queries, predictions, cores)?;
     let fmt = |t: &ThroughputPoint| format!("{:.0} preds/min", t.predictions_per_minute);
     println!(
-        "throughput: cold @{queries} q/pred pool(1t) {}  spawn(1t) {}  warm @{} q/pred shared-cache {}",
+        "throughput: cold @{queries} q/pred pool(1t) {}  spawn(1t) {}  warm @{} q/pred warm-trace {}",
         fmt(&t.pool_1t),
         fmt(&t.spawn_1t),
         perf::WARM_QUERIES_PER_PREDICTION,

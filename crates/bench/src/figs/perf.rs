@@ -444,7 +444,7 @@ pub fn bench_forest() -> Result<ForestLeg, SprintError> {
     })
 }
 
-/// Queries per prediction for the warm shared-cache model leg (the
+/// Queries per prediction for the warm-trace model leg (the
 /// gated `pool_multi_preds_per_min` number).
 pub const WARM_QUERIES_PER_PREDICTION: usize = 1_000;
 
@@ -454,11 +454,11 @@ pub const WARM_PREDICTIONS: usize = 400;
 /// Min-of-K passes for the warm model leg.
 pub const WARM_REPS: usize = 5;
 
-/// Gate: the warm shared-cache model leg must sustain at least this
+/// Gate: the warm-trace model leg must sustain at least this
 /// many predictions per minute.
 pub const MIN_WARM_PREDS_PER_MIN: f64 = 1_000_000.0;
 
-/// The batch-throughput leg: warm shared-cache model predictions,
+/// The batch-throughput leg: warm-trace model predictions,
 /// plus persistent pool vs spawn-per-call cold batches.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputLeg {
@@ -466,7 +466,7 @@ pub struct ThroughputLeg {
     pub pool_1t: ThroughputPoint,
     /// Spawn-per-call reference at 1 thread (cold batch).
     pub spawn_1t: ThroughputPoint,
-    /// Warm steady-state model predictions through the shared CRN
+    /// Warm steady-state model predictions through the model's CRN
     /// trace cache (distinct policy conditions, one replayed trace) —
     /// the rate that bounds candidate evaluation in policy search and
     /// per-node evaluation at fleet scale.
@@ -487,7 +487,7 @@ impl ThroughputLeg {
             return Err(SprintError::runtime(
                 "perf::throughput",
                 format!(
-                    "warm shared-cache prediction throughput must be >= {MIN_WARM_PREDS_PER_MIN} \
+                    "warm-trace prediction throughput must be >= {MIN_WARM_PREDS_PER_MIN} \
                      preds/min, measured {:.0}",
                     self.pool_warm.predictions_per_minute
                 ),
@@ -498,7 +498,7 @@ impl ThroughputLeg {
 }
 
 /// Runs the throughput leg: the cold batch points at `queries`
-/// simulated queries/prediction, and the warm shared-cache model point
+/// simulated queries/prediction, and the warm-trace model point
 /// at [`WARM_QUERIES_PER_PREDICTION`].
 ///
 /// # Errors

@@ -9,6 +9,7 @@
 
 use forest::{ForestConfig, RandomForest};
 use mlcore::Dataset;
+use profiler::{Condition, ProfileData, ProfilingRun, WorkloadProfile};
 use qsim::{
     predict_mean_response, predict_mean_response_reference, predict_mean_response_traced, Backend,
     Qsim, QsimConfig, TraceCache,
@@ -16,6 +17,9 @@ use qsim::{
 use simcore::dist::{Dist, DistKind};
 use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
+use sprint_core::{
+    effective_sprint_rate, train_hybrid, CalibrationOptions, SimOptions, TrainOptions,
+};
 use testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig, SprintPolicy};
 use workloads::{QueryMix, WorkloadKind};
 
@@ -195,6 +199,138 @@ fn check_traced_vs_live(seed: u64) -> Result<String, SprintError> {
     ))
 }
 
+/// Eq. 2 over a grid chosen to reach every exit of the search: the
+/// true rate at µm (immediate accept), below and above µm (the search
+/// walks both directions before settling), an unreachable target (the
+/// below-0.6µ floor and the best-seen fallback), each under Poisson
+/// and Pareto arrivals. Observed response times come from the
+/// simulator itself at the true rate, on seeds the search never uses.
+fn check_calibration_traced_vs_live(seed: u64) -> Result<String, SprintError> {
+    let profile = WorkloadProfile {
+        mix: QueryMix::single(WorkloadKind::Jacobi),
+        mechanism: "DVFS".into(),
+        mu: Rate::per_hour(50.0),
+        mu_m: Rate::per_hour(75.0),
+        service_samples_secs: (0..200).map(|i| 62.0 + (i % 17) as f64).collect(),
+        profiling_hours: 0.5,
+    };
+    // Shorter windows than the default keep the fallback searches
+    // (~100 candidates each) cheap; the bit-identity claim does not
+    // depend on window length.
+    let traced = CalibrationOptions {
+        sim: SimOptions {
+            sim_queries: 600,
+            warmup: 60,
+            seed,
+            ..CalibrationOptions::default().sim
+        },
+        ..CalibrationOptions::default()
+    };
+    let live = CalibrationOptions {
+        sim: SimOptions {
+            fast_path: false,
+            ..traced.sim
+        },
+        ..traced
+    };
+    let truth = SimOptions {
+        seed: seed ^ 0x0B5E,
+        ..live.sim
+    };
+    let base = Condition {
+        utilization: 0.75,
+        arrival_kind: DistKind::Exponential,
+        timeout_secs: 70.0,
+        budget_frac: 0.4,
+        refill_secs: 200.0,
+    };
+    let kinds = [DistKind::Exponential, DistKind::Pareto { alpha: 1.8 }];
+    let (mu, mu_m) = (profile.mu.qph(), profile.mu_m.qph());
+    let mut runs = Vec::new();
+    let mut exits = [0usize; 4];
+    for kind in kinds {
+        let condition = Condition {
+            arrival_kind: kind,
+            ..base
+        };
+        for true_rate in [Some(mu_m), Some(63.0), Some(84.0), None] {
+            let observed =
+                true_rate.map_or(100_000.0, |r| truth.simulate(&profile, &condition, r / mu));
+            let run = ProfilingRun {
+                condition,
+                observed_response_secs: observed,
+            };
+            let (rate_t, err_t) = effective_sprint_rate(&profile, &run, &traced);
+            let (rate_l, err_l) = effective_sprint_rate(&profile, &run, &live);
+            if rate_t.qph().to_bits() != rate_l.qph().to_bits()
+                || err_t.to_bits() != err_l.to_bits()
+            {
+                return Err(diverged(
+                    "oracle::calibration",
+                    format!(
+                        "{kind:?}, true rate {true_rate:?}: traced ({}, {err_t}) vs live ({}, {err_l})",
+                        rate_t.qph(),
+                        rate_l.qph()
+                    ),
+                ));
+            }
+            let exit = match (err_t <= traced.tolerance, rate_t.qph()) {
+                (false, _) => 3,
+                (true, r) if r == mu_m => 0,
+                (true, r) if r < mu_m => 1,
+                (true, _) => 2,
+            };
+            exits[exit] += 1;
+            runs.push(run);
+        }
+    }
+    if exits.contains(&0) {
+        return Err(diverged(
+            "oracle::calibration",
+            format!("grid no longer reaches every search exit (accept at µm, below, above, fallback): {exits:?}"),
+        ));
+    }
+
+    // The forest trained on each path's rates must predict the same
+    // bits everywhere.
+    let data = ProfileData { profile, runs };
+    let opts = |calibration| TrainOptions {
+        calibration,
+        threads: 2,
+        ..TrainOptions::default()
+    };
+    let forest_t = train_hybrid(&data, &opts(traced))?;
+    let forest_l = train_hybrid(&data, &opts(live))?;
+    let probes: Vec<Condition> = data
+        .runs
+        .iter()
+        .map(|r| r.condition)
+        .chain((0..8).map(|i| Condition {
+            utilization: 0.3 + 0.08 * i as f64,
+            timeout_secs: 20.0 * i as f64,
+            ..base
+        }))
+        .collect();
+    for (i, c) in probes.iter().enumerate() {
+        let (a, b) = (
+            forest_t.effective_rate_qph(c),
+            forest_l.effective_rate_qph(c),
+        );
+        if a.to_bits() != b.to_bits() {
+            return Err(diverged(
+                "oracle::calibration",
+                format!("probe {i}: forest on traced rates predicts {a}, on live rates {b}"),
+            ));
+        }
+    }
+    Ok(format!(
+        "{} searches bit-identical, traced vs live (exits accept/below/above/fallback: \
+         {exits:?}); {} forest predictions identical",
+        data.runs.len(),
+        probes.len()
+    ))
+}
+
 fn check_flat_forest(seed: u64) -> Result<String, SprintError> {
     let mut data = Dataset::new(vec!["x", "y", "z"]);
     let mut state = seed | 1;
@@ -315,6 +451,13 @@ pub fn run_all(seed: u64) -> Vec<OracleOutcome> {
             "CRN trace replay and the frozen reference path reproduce live \
              predictions bit-for-bit",
             check_traced_vs_live(seed),
+        ),
+        OracleOutcome::from(
+            "oracle/calibration_traced_vs_live",
+            "Eq. 2 calibration replaying its private CRN traces returns the \
+             live-RNG reference search's (rate, error) bit-for-bit, and \
+             train_hybrid's forests agree",
+            check_calibration_traced_vs_live(seed),
         ),
         OracleOutcome::from(
             "oracle/flat_forest",

@@ -7,9 +7,17 @@
 //! steps ("we increment and decrement the marginal rate by 1 unit"),
 //! preferring the smallest |µe − µm| that achieves tolerable error, and
 //! falls back to the best candidate seen if none tolerates.
+//!
+//! Every candidate rate is simulated at the *same* replication seeds,
+//! and the rate only changes how the simulator consumes work, never
+//! what it draws. So one search keeps one private set of
+//! common-random-number traces: the first candidate materializes them
+//! and every later candidate replays them (bit-identical to live
+//! sampling, see `qsim::trace`).
 
 use crate::model::SimOptions;
 use profiler::{ProfilingRun, WorkloadProfile};
+use qsim::TraceCache;
 use simcore::time::Rate;
 
 /// Calibration search parameters.
@@ -36,6 +44,9 @@ impl Default for CalibrationOptions {
                 sim_queries: 1_500,
                 warmup: 150,
                 replications: 2,
+                // `train_hybrid` already runs one search per worker
+                // thread; fanning replications out too would nest pools.
+                threads: 1,
                 ..SimOptions::default()
             },
         }
@@ -46,6 +57,12 @@ impl Default for CalibrationOptions {
 ///
 /// Returns the rate and the relative error its simulation achieves
 /// against the observed response time.
+///
+/// Candidates replay a trace cache private to this call, so the search
+/// neither fills nor depends on the process-wide
+/// [`TraceCache::shared`] table. With `opts.sim.fast_path == false`
+/// every candidate runs the live-RNG reference backend instead, with
+/// bit-identical results.
 pub fn effective_sprint_rate(
     profile: &WorkloadProfile,
     run: &ProfilingRun,
@@ -56,9 +73,12 @@ pub fn effective_sprint_rate(
     let mu_m = profile.mu_m.qph();
     debug_assert!(observed > 0.0);
 
+    let traces = TraceCache::new();
     let eval = |rate_qph: f64| -> f64 {
         let speedup = (rate_qph / mu).max(1.0);
-        let predicted = opts.sim.simulate(profile, &run.condition, speedup);
+        let predicted = opts
+            .sim
+            .simulate_cached(profile, &run.condition, speedup, &traces);
         (predicted - observed).abs() / observed
     };
 
@@ -154,6 +174,49 @@ mod tests {
         let (rate, err) = effective_sprint_rate(&p, &run, &opts);
         assert!(err <= opts.tolerance);
         assert_eq!(rate.qph(), 75.0, "µm itself tolerates, so µe = µm");
+    }
+
+    /// The trace-replaying search must return the bits the live-RNG
+    /// reference search returns: an immediate µm accept, searches
+    /// settling below and above µm, the floor fallback, and Pareto
+    /// arrivals.
+    #[test]
+    fn traced_search_matches_live_reference() {
+        let p = profile();
+        let fast = CalibrationOptions::default();
+        let live = CalibrationOptions {
+            sim: SimOptions {
+                fast_path: false,
+                ..fast.sim
+            },
+            ..fast
+        };
+        let pareto = Condition {
+            arrival_kind: DistKind::Pareto { alpha: 1.8 },
+            ..cond()
+        };
+        let cases = [
+            (cond(), Some(75.0)),
+            (cond(), Some(63.0)),
+            (cond(), Some(84.0)),
+            (cond(), None),
+            (pareto, Some(66.0)),
+        ];
+        for (c, true_rate) in cases {
+            let observed = true_rate.map_or(100_000.0, |r| live.sim.simulate(&p, &c, r / 50.0));
+            let run = ProfilingRun {
+                condition: c,
+                observed_response_secs: observed,
+            };
+            let (rate_f, err_f) = effective_sprint_rate(&p, &run, &fast);
+            let (rate_l, err_l) = effective_sprint_rate(&p, &run, &live);
+            assert_eq!(
+                rate_f.qph().to_bits(),
+                rate_l.qph().to_bits(),
+                "{true_rate:?}"
+            );
+            assert_eq!(err_f.to_bits(), err_l.to_bits(), "{true_rate:?}");
+        }
     }
 
     #[test]

@@ -20,7 +20,11 @@ pub struct TrainOptions {
     pub forest: ForestConfig,
     /// ANN hyper-parameters.
     pub ann: AnnConfig,
-    /// Simulation settings embedded in the trained models.
+    /// Simulation settings embedded in the trained models. The default
+    /// fans each prediction's replications out over every core
+    /// (`threads` is bit-invisible); calibration keeps its own
+    /// one-thread settings because it is already parallel across
+    /// profiling runs.
     pub sim: SimOptions,
     /// Worker threads for calibration.
     pub threads: usize,
@@ -32,7 +36,10 @@ impl Default for TrainOptions {
             calibration: CalibrationOptions::default(),
             forest: ForestConfig::default(),
             ann: AnnConfig::default(),
-            sim: SimOptions::default(),
+            sim: SimOptions {
+                threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+                ..SimOptions::default()
+            },
             threads: 8,
         }
     }

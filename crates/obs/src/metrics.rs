@@ -545,9 +545,20 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// Serializes the tests that flip the process-global enable flag or
+    /// read counters: the test harness runs tests on parallel threads,
+    /// and one test's `set_enabled(false)` would otherwise drop
+    /// another's increments.
+    fn flag_lock() -> MutexGuard<'static, ()> {
+        static FLAG: Mutex<()> = Mutex::new(());
+        FLAG.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_counters_do_not_move() {
+        let _flag = flag_lock();
         set_enabled(false);
         let c = Counter::default();
         c.incr();
@@ -561,6 +572,7 @@ mod tests {
 
     #[test]
     fn enabled_counters_accumulate() {
+        let _flag = flag_lock();
         set_enabled(true);
         let c = Counter::default();
         c.incr();
@@ -596,6 +608,7 @@ mod tests {
 
     #[test]
     fn histogram_records_count_and_sum() {
+        let _flag = flag_lock();
         set_enabled(true);
         let h = Histogram::new();
         for v in [1u64, 2, 3, 1000] {
@@ -613,6 +626,7 @@ mod tests {
 
     #[test]
     fn quantiles_return_bucket_bounds() {
+        let _flag = flag_lock();
         set_enabled(true);
         let h = Histogram::new();
         for v in 1..=100u64 {
@@ -631,6 +645,7 @@ mod tests {
 
     #[test]
     fn scoped_registries_are_stable_and_isolated() {
+        let _flag = flag_lock();
         set_enabled(true);
         scoped(1001).reset();
         scoped(1002).reset();
@@ -654,6 +669,7 @@ mod tests {
 
     #[test]
     fn snapshot_covers_every_registered_family() {
+        let _flag = flag_lock();
         let snap = global().snapshot();
         let names = snap.family_names();
         for fam in FAMILY_NAMES {

@@ -39,7 +39,7 @@ run ./target/release/fleet_report > /dev/null
 run ./target/release/chaos_sweep --seeds 8 > /dev/null
 
 # Prediction fast-path gate: asserts fast/reference bit-identity, the
-# >=3X explorer speedup, the >=1M preds/min warm shared-cache
+# >=3X explorer speedup, the >=1M preds/min warm-trace
 # throughput, batched-flat-beats-pointer forest inference, and the
 # <=5% enabled-telemetry overhead. When a schema-2 BENCH_qsim.json
 # baseline is committed it also diffs every leg against it with

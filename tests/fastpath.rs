@@ -3,15 +3,16 @@
 //! number (CRN) trace reuse, and the direct k = 1 engine must be
 //! invisible in results — only in wall-clock.
 
-use model_sprint::policy::{explore_timeout, AnnealingConfig};
-use model_sprint::profiler::{Condition, WorkloadProfile};
+use model_sprint::mechanisms::Dvfs;
+use model_sprint::policy::{explore_timeout, AnnealingConfig, AnnealingResult};
+use model_sprint::profiler::{Condition, Profiler, SamplingGrid, WorkloadProfile};
 use model_sprint::qsim::{
     predict_mean_response, predict_mean_response_traced, run_batch_with, Backend, QsimConfig,
     TraceCache,
 };
 use model_sprint::simcore::dist::{Dist, DistKind};
 use model_sprint::simcore::time::{Rate, SimDuration};
-use model_sprint::sprint_core::{NoMlModel, SimOptions};
+use model_sprint::sprint_core::{train_hybrid, NoMlModel, SimOptions, TrainOptions};
 use model_sprint::workloads::{QueryMix, WorkloadKind};
 
 fn batch_cfg(seed: u64) -> QsimConfig {
@@ -172,4 +173,63 @@ fn annealing_trace_is_reproducible_and_backend_invariant() {
         a.best_timeout_secs.to_bits(),
         reference.best_timeout_secs.to_bits()
     );
+}
+
+/// A trained model's replication fan-out is invisible in its answers:
+/// the default `TrainOptions` (every core) and one thread anneal to the
+/// same best timeout, best response time and full candidate trace.
+/// Both models get private caches, so neither search is answered from
+/// the other's memo.
+#[test]
+fn annealing_is_bit_identical_across_model_thread_counts() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let defaults = TrainOptions::default();
+    assert_eq!(defaults.sim.threads, cores, "trained models use every core");
+    assert_eq!(
+        defaults.calibration.sim.threads, 1,
+        "calibration nests no pool"
+    );
+
+    let profiler = Profiler {
+        queries_per_run: 200,
+        warmup: 20,
+        replays: 1,
+        threads: 2,
+        seed: 0x7E,
+    };
+    let conditions = SamplingGrid::paper().sample_conditions(8, 0x7E);
+    let data = profiler.profile(
+        &QueryMix::single(WorkloadKind::Jacobi),
+        &Dvfs::new(),
+        &conditions,
+    );
+    let mut opts = TrainOptions {
+        threads: 2,
+        ..defaults
+    };
+    opts.calibration.max_steps = 20;
+    opts.calibration.sim.sim_queries = 400;
+    opts.sim.sim_queries = 400;
+    opts.sim.warmup = 40;
+    let accfg = AnnealingConfig {
+        iterations: 40,
+        ..AnnealingConfig::default()
+    };
+    let search = |threads: usize| -> AnnealingResult {
+        let mut o = opts.clone();
+        o.sim.threads = threads;
+        let model = train_hybrid(&data, &o).unwrap().with_private_caches();
+        explore_timeout(&model, &cond(80.0), &accfg).unwrap()
+    };
+    let bits = |r: &AnnealingResult| -> Vec<u64> {
+        [r.best_timeout_secs, r.best_response_secs]
+            .into_iter()
+            .chain(r.trace.iter().flat_map(|&(t, rt)| [t, rt]))
+            .map(f64::to_bits)
+            .collect()
+    };
+    let serial = search(1);
+    let parallel = search(cores.max(2));
+    assert_eq!(serial.trace.len(), 40);
+    assert_eq!(bits(&serial), bits(&parallel));
 }
