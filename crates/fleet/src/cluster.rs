@@ -615,12 +615,123 @@ impl FleetTracer {
     }
 }
 
+/// The fleet's live servers behind a next-event index. A private module
+/// so that [`Cluster`] can reach a server only through its accessors:
+/// every mutable access marks the node for re-keying, so no call site
+/// has to remember that its change may have moved the node's next event.
+mod live {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use simcore::time::SimTime;
+    use testbed::Server;
+
+    /// Min-index over node event times with lazy invalidation. `key[i]`
+    /// is node `i`'s next-event time (`None`: nothing pending, or
+    /// finished). A heap entry `(t, i)` is live only while
+    /// `key[i] == Some(t)`: re-keying pushes a fresh entry, and the old
+    /// one is dropped when it reaches the top. Entries order by
+    /// `(time, node)`, so equal times go to the lowest node index.
+    pub(super) struct NextEvent {
+        key: Vec<Option<SimTime>>,
+        heap: BinaryHeap<Reverse<(SimTime, usize)>>,
+    }
+
+    impl NextEvent {
+        pub(super) fn new(nodes: usize) -> NextEvent {
+            NextEvent {
+                key: vec![None; nodes],
+                heap: BinaryHeap::with_capacity(nodes),
+            }
+        }
+
+        /// Re-keys node `i` to `t`; `None` removes it. O(log N).
+        pub(super) fn set(&mut self, i: usize, t: Option<SimTime>) {
+            if self.key[i] == t {
+                return;
+            }
+            self.key[i] = t;
+            if let Some(t) = t {
+                self.heap.push(Reverse((t, i)));
+            }
+        }
+
+        /// The earliest `(time, node)`, skipping stale entries.
+        pub(super) fn peek(&mut self) -> Option<(SimTime, usize)> {
+            while let Some(&Reverse((t, i))) = self.heap.peek() {
+                if self.key[i] == Some(t) {
+                    return Some((t, i));
+                }
+                self.heap.pop();
+            }
+            None
+        }
+    }
+
+    pub(super) struct LiveNodes<'m> {
+        servers: Vec<Option<Server<'m>>>,
+        index: NextEvent,
+        /// Nodes touched since the last [`LiveNodes::next`].
+        dirty: Vec<usize>,
+    }
+
+    impl<'m> LiveNodes<'m> {
+        /// Servers not yet touched have nothing pending, which is what
+        /// an empty index says, so no node starts dirty.
+        pub(super) fn new(servers: Vec<Option<Server<'m>>>) -> LiveNodes<'m> {
+            LiveNodes {
+                index: NextEvent::new(servers.len()),
+                servers,
+                dirty: Vec::new(),
+            }
+        }
+
+        pub(super) fn get(&self, n: usize) -> Option<&Server<'m>> {
+            self.servers[n].as_ref()
+        }
+
+        /// The only mutable access to a server: marks `n` for
+        /// re-keying before the next selection.
+        pub(super) fn get_mut(&mut self, n: usize) -> Option<&mut Server<'m>> {
+            self.dirty.push(n);
+            self.servers[n].as_mut()
+        }
+
+        /// Removes a finished node from the fleet and the index.
+        pub(super) fn take(&mut self, n: usize) -> Option<Server<'m>> {
+            self.index.set(n, None);
+            self.servers[n].take()
+        }
+
+        /// The live node whose next event is earliest, lowest index on
+        /// ties. Re-keys the dirty nodes first.
+        pub(super) fn next(&mut self) -> Option<(SimTime, usize)> {
+            for n in self.dirty.drain(..) {
+                let t = self.servers[n].as_ref().and_then(Server::peek_time);
+                self.index.set(n, t);
+            }
+            let pick = self.index.peek();
+            debug_assert_eq!(pick, self.scan(), "next-event index vs linear scan");
+            pick
+        }
+
+        /// The O(N) reference the index must agree with.
+        fn scan(&self) -> Option<(SimTime, usize)> {
+            self.servers
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| Some((s.as_ref()?.peek_time()?, i)))
+                .min()
+        }
+    }
+}
+
 struct Cluster<'m> {
     spec: FleetSpec,
     reactor: Reactor<FleetEv>,
     net: FleetNet,
     agents: Vec<NodeAgent>,
-    servers: Vec<Option<Server<'m>>>,
+    nodes: live::LiveNodes<'m>,
     results: Vec<Option<RunResult>>,
     node_journals: Vec<Option<Journal>>,
     coords: Vec<Coordinator>,
@@ -718,7 +829,7 @@ impl<'m> Cluster<'m> {
             tracker: Tracker::new(spec.budget_power, spec.lease_secs),
             recorder: FlightRecorder::new(16_384),
             agents,
-            servers,
+            nodes: live::LiveNodes::new(servers),
             results: (0..n).map(|_| None).collect(),
             node_journals: (0..n).map(|_| None).collect(),
             coords,
@@ -784,7 +895,7 @@ impl<'m> Cluster<'m> {
         let lease_secs = self.spec.lease_secs;
         // Nodes: prime the servers and stagger first lease requests.
         for i in 0..nodes {
-            if let Some(server) = self.servers[i].as_mut() {
+            if let Some(server) = self.nodes.get_mut(i) {
                 server.prime();
             }
             let jitter = self.agents[i].rng.uniform(0.0, backoff_base);
@@ -1108,7 +1219,7 @@ impl<'m> Cluster<'m> {
                     parent,
                 );
             }
-            if let Some(server) = self.servers[n].as_mut() {
+            if let Some(server) = self.nodes.get_mut(n) {
                 server.set_trace_parent(t.lease_span[n]);
             }
             self.tracer = Some(t);
@@ -1119,7 +1230,7 @@ impl<'m> Cluster<'m> {
                 expires.as_secs_f64()
             )
         });
-        if let Some(server) = self.servers[n].as_mut() {
+        if let Some(server) = self.nodes.get_mut(n) {
             server.set_sprint_permit(true);
         }
         let renew_at = if expires > now.saturating_add(Self::secs(renew_lead)) {
@@ -1169,7 +1280,7 @@ impl<'m> Cluster<'m> {
         }
         self.reactor
             .note(now, || format!("node {node}: lease epoch {epoch} lapsed"));
-        if let Some(server) = self.servers[n].as_mut() {
+        if let Some(server) = self.nodes.get_mut(n) {
             // Fail safe: the permit dies with the lease and any
             // in-flight sprint is force-ended immediately.
             server.set_sprint_permit(false);
@@ -1643,7 +1754,7 @@ impl<'m> Cluster<'m> {
                 (None, _) => d.no_sprint += 1,
             }
             if a.lease.is_none() {
-                if let Some(server) = self.servers[n].as_ref() {
+                if let Some(server) = self.nodes.get(n) {
                     if server.sprinting() > 0 {
                         self.tracker.violation(
                             "unleased-sprint",
@@ -1765,7 +1876,7 @@ impl<'m> Cluster<'m> {
     }
 
     fn complete_node(&mut self, now: SimTime, n: usize) -> Result<(), SprintError> {
-        let Some(server) = self.servers[n].take() else {
+        let Some(server) = self.nodes.take(n) else {
             return Ok(());
         };
         // Invariant (d): a finishing node must be leased or safely
@@ -1794,16 +1905,7 @@ impl<'m> Cluster<'m> {
             // the fleet reactor and every live node's queue runs next;
             // ties go to the control plane, then the lowest node index.
             let fleet_t = self.reactor.peek_time();
-            let mut node_next: Option<(SimTime, usize)> = None;
-            for (i, slot) in self.servers.iter().enumerate() {
-                if let Some(server) = slot {
-                    if let Some(t) = server.peek_time() {
-                        if node_next.is_none_or(|(bt, _)| t < bt) {
-                            node_next = Some((t, i));
-                        }
-                    }
-                }
-            }
+            let node_next = self.nodes.next();
             match (fleet_t, node_next) {
                 (None, None) => {
                     return Err(SprintError::invalid(
@@ -1852,7 +1954,7 @@ impl<'m> Cluster<'m> {
     fn step_node(&mut self, t: SimTime, i: usize) -> Result<(), SprintError> {
         self.horizon = self.horizon.max(t);
         let done = {
-            let Some(server) = self.servers[i].as_mut() else {
+            let Some(server) = self.nodes.get_mut(i) else {
                 return Ok(());
             };
             server.step()?;
@@ -2129,5 +2231,63 @@ mod tests {
             "nodes must re-acquire leases after the partition heals: {:?}",
             result.stats
         );
+    }
+
+    fn at(us: u64) -> Option<SimTime> {
+        Some(SimTime(us))
+    }
+
+    #[test]
+    fn next_event_ties_go_to_the_lowest_index() {
+        let mut idx = live::NextEvent::new(4);
+        idx.set(3, at(5));
+        idx.set(1, at(5));
+        idx.set(2, at(5));
+        idx.set(0, at(9));
+        assert_eq!(idx.peek(), Some((SimTime(5), 1)));
+    }
+
+    #[test]
+    fn next_event_rekey_moves_both_ways() {
+        let mut idx = live::NextEvent::new(3);
+        idx.set(0, at(10));
+        idx.set(1, at(20));
+        idx.set(2, at(30));
+        // Later: node 0 falls behind node 1.
+        idx.set(0, at(25));
+        assert_eq!(idx.peek(), Some((SimTime(20), 1)));
+        // Earlier: node 2 jumps ahead of everyone.
+        idx.set(2, at(1));
+        assert_eq!(idx.peek(), Some((SimTime(1), 2)));
+        // Back to a key it held before: the re-pushed entry is live.
+        idx.set(2, at(30));
+        idx.set(1, at(40));
+        assert_eq!(idx.peek(), Some((SimTime(25), 0)));
+    }
+
+    #[test]
+    fn next_event_removed_node_is_never_picked() {
+        let mut idx = live::NextEvent::new(2);
+        idx.set(0, at(1));
+        idx.set(1, at(2));
+        idx.set(0, None);
+        assert_eq!(idx.peek(), Some((SimTime(2), 1)));
+        idx.set(1, None);
+        assert_eq!(idx.peek(), None);
+    }
+
+    #[test]
+    fn next_event_skips_stale_entries() {
+        let mut idx = live::NextEvent::new(2);
+        idx.set(0, at(1));
+        idx.set(1, at(3));
+        // Node 0's entry at t=1 stays in the heap but is stale.
+        idx.set(0, at(7));
+        assert_eq!(idx.peek(), Some((SimTime(3), 1)));
+        // A stale entry equal to another node's key does not shadow it.
+        idx.set(1, at(7));
+        assert_eq!(idx.peek(), Some((SimTime(7), 0)));
+        idx.set(0, None);
+        assert_eq!(idx.peek(), Some((SimTime(7), 1)));
     }
 }

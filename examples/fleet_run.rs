@@ -63,7 +63,8 @@ fn main() -> Result<(), SprintError> {
     assert!(result.invariants_clean(), "{:?}", result.violations);
 
     // 4. Same seed, same spec — same run, bit for bit. The journal is
-    //    the proof: one event queue, one clock, one seed.
+    //    the proof: one clock, one fixed merge of the event queues,
+    //    one seed.
     let (_, replayed) = run_fleet_journaled(&spec)?;
     assert!(journal.diff(&replayed).is_none(), "replay diverged");
     println!(
